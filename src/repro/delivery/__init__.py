@@ -2,12 +2,14 @@
 
 The paper calls WS-Messenger a "scalable, reliable and efficient" broker;
 this package supplies the reliability half the specifications leave to
-implementations.  It turns the broker's synchronous best-effort push into a
-policy-driven pipeline: per-subscriber outbound queues scheduled on the
-virtual clock, exponential backoff with deterministic seeded jitter,
-per-sink circuit breakers, a dead-letter queue with replay, and — for
-consumers behind firewalls — store-and-forward message boxes drained via
-the WSN 1.3 ``GetMessages`` / WSE ``Pull`` semantics.
+implementations.  Every outbound send goes through one policy-driven
+pipeline: the direct policy (one attempt; a failure ends the subscription)
+when none is configured, or a reliable one with per-subscriber outbound
+queues scheduled on the virtual clock, exponential backoff with
+deterministic seeded jitter, per-sink circuit breakers, a dead-letter queue
+with replay, and — for consumers behind firewalls — store-and-forward
+message boxes drained via the WSN 1.3 ``GetMessages`` / WSE ``Pull``
+semantics.
 
 Layering: everything here depends only on the transport substrate plus the
 message *formats* of the two spec families; the WSE source, WSN producer and

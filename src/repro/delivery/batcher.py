@@ -11,11 +11,13 @@ implements the coalescing half of that bargain, policy-driven by
   producer keys on sink signature + notification shape so every group can
   render through a single envelope byte-template);
 * a group flushes when it reaches ``max_batch``, when its virtual-clock
-  window expires (``window > 0``, scheduled on the shared
-  :class:`~repro.transport.clock.ClockScheduler`), or when the owner flushes
-  explicitly (``window == 0`` flushes at the end of each publish);
-* what "flush" means — one delivery-manager submission, one direct wire
-  push — belongs to the owner's callback; the batcher only decides *when*.
+  window expires (``window > 0``, scheduled on the delivery manager's
+  :class:`~repro.transport.clock.ClockScheduler`, so the same
+  ``run_due``/``run_until_idle`` pump that runs retries fires windows), or
+  when the owner flushes explicitly (``window == 0`` flushes at the end of
+  each publish);
+* what "flush" means — one delivery-manager submission — belongs to the
+  owner's callback; the batcher only decides *when*.
 
 Determinism: windows live on the virtual clock and groups preserve
 insertion order, so a (scenario, seed) pair fully determines batch
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional
+from typing import Callable, Hashable
 
 from repro.delivery.policy import BatchingPolicy
 from repro.transport.clock import ClockScheduler, VirtualClock
@@ -57,16 +59,16 @@ class DeliveryBatcher:
         policy: BatchingPolicy,
         flush: Callable[[Hashable, list], None],
         *,
-        scheduler: Optional[ClockScheduler] = None,
+        scheduler: ClockScheduler,
         instrumentation=None,
         family: str = "",
     ) -> None:
         self.clock = clock
         self.policy = policy
         self._flush_group = flush
-        #: shared with the delivery manager when one exists, so window expiry
-        #: is driven by the same run_due/run_until_idle pump as retries
-        self.scheduler = scheduler or ClockScheduler(clock)
+        #: the delivery manager's scheduler: window expiry is driven by the
+        #: same run_due/run_until_idle pump as retries
+        self.scheduler = scheduler
         self._instr = instrumentation
         self._family = family
         self._pending: "OrderedDict[Hashable, list]" = OrderedDict()

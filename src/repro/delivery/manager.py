@@ -1,28 +1,34 @@
-"""The delivery manager: policy-driven reliable store-and-forward.
+"""The delivery manager: the one pipeline every outbound send goes through.
 
-This is the pipeline the broker's fan-out routes through when reliability
-is enabled.  Instead of a synchronous best-effort push that swallows
-failures, every outbound notification becomes a :class:`DeliveryTask` on a
-per-sink FIFO queue:
+Every notification and control message an :class:`~repro.wse.source.EventSource`
+or :class:`~repro.wsn.producer.NotificationProducer` emits becomes a
+:class:`DeliveryTask` on a per-sink FIFO queue here.  The
+:class:`DeliveryPolicy` decides what a failed send means:
 
-* the **first attempt is synchronous** — on a healthy network the hot path
-  is byte-for-byte the old direct push;
-* a failed attempt schedules a retry on the virtual clock with exponential
-  backoff and deterministic seeded jitter (:class:`DeliveryPolicy`);
-* a **circuit breaker** per sink fast-fails attempts to consumers that keep
-  refusing, and half-opens on a clock timer;
-* :class:`~repro.transport.network.FirewallBlocked` triggers the
-  store-and-forward fallback: the message parks in the sink's broker-side
-  :class:`~repro.delivery.messagebox.MessageBox`, drained by pull from
-  inside the firewall;
+* the **direct policy** (:data:`~repro.delivery.policy.BEST_EFFORT`, what a
+  broker, source or producer runs when no policy is configured) makes one
+  attempt; a failure closes the task's obligations as ``failed`` and hands
+  the error to the owner's ``on_failed`` callback, which ends the
+  subscription (WSE ``DeliveryFailure``, WSN destroy) — nothing is retried,
+  parked or dead-lettered;
+* a **reliable policy** retries on the virtual clock with exponential
+  backoff and deterministic seeded jitter, and a **circuit breaker** per
+  sink fast-fails attempts to consumers that keep refusing, half-opening on
+  a clock timer;
+* under a reliable policy, :class:`~repro.transport.network.FirewallBlocked`
+  triggers the store-and-forward fallback: the message parks in the sink's
+  broker-side :class:`~repro.delivery.messagebox.MessageBox`, drained by
+  pull from inside the firewall;
 * exhausted attempt budgets and TTLs land in the :class:`DeadLetterQueue`,
   introspectable and replayable — never silently dropped.
 
-Per-sink queues are strictly ordered: a retrying head blocks the messages
-behind it (head-of-line), which is what keeps redelivery in publish order.
-Because nothing here reads a wall clock or global RNG, a (scenario, seed)
-pair fully determines every retry timestamp — the reliability benchmark
-asserts its artifact is byte-identical across runs.
+The first attempt is always synchronous, so on a healthy network every
+policy produces the same wire bytes at the same virtual instants.  Per-sink
+queues are strictly ordered: a retrying head blocks the messages behind it
+(head-of-line), which is what keeps redelivery in publish order.  Because
+nothing here reads a wall clock or global RNG, a (scenario, seed) pair fully
+determines every retry timestamp — the reliability benchmark asserts its
+artifact is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.delivery.breaker import BreakerState, CircuitBreaker
 from repro.delivery.dlq import DeadLetterQueue
-from repro.delivery.policy import DeliveryPolicy
+from repro.delivery.policy import BEST_EFFORT, DeliveryPolicy
 from repro.delivery.task import DeliveryItem, DeliveryTask, TaskStatus
 from repro.obs.instrument import BoundCounters
 from repro.transport.clock import ClockScheduler
@@ -104,6 +110,10 @@ class DeliveryManager:
         self.network = network
         self.clock = network.clock
         self.policy = policy or DeliveryPolicy()
+        #: the one place the policy's failure semantics are decided: the
+        #: direct policy fails a task (its owner ends the subscription)
+        #: where a reliable policy retries, parks or dead-letters it
+        self._direct = self.policy == BEST_EFFORT
         self.scheduler = ClockScheduler(self.clock)
         #: jitter stream — forked per use-site label so unrelated draws
         #: cannot perturb each other's sequences
@@ -143,48 +153,63 @@ class DeliveryManager:
         priority: int = 0,
         on_delivered: Optional[Callable[[DeliveryTask], None]] = None,
         on_dead: Optional[Callable[[DeliveryTask, str], None]] = None,
+        on_failed: Optional[Callable[[DeliveryTask, Exception], None]] = None,
     ) -> DeliveryTask:
         """Queue one message for ``sink``; attempts immediately when the
-        sink's queue is empty (the healthy-network fast path)."""
+        sink's queue is empty (the healthy-network fast path).
+
+        ``on_failed`` runs only under the direct policy, with the error of
+        the task's single failed attempt; ``on_dead`` runs when a reliable
+        policy dead-letters or sheds the task."""
         instr = self.network.instrumentation
-        item_list = list(items or [])
+        item_list = items if items is not None else []
         if self.store is not None:
             item_list = self.store.stamp_items(item_list)
-        lineage = next(
-            (item.lineage for item in item_list if item.lineage is not None), None
-        )
+        lineage = None
+        if instr.enabled:
+            for item in item_list:
+                if item.lineage is not None:
+                    lineage = item.lineage
+                    break
+            else:
+                # itemless control traffic still resumes under the span that
+                # submitted it (e.g. a SubscriptionEnd inside a publish)
+                lineage = instr.trace_context()
         task = DeliveryTask(
-            sink=sink,
-            send=send,
-            items=item_list,
-            family=family,
-            describe=describe,
-            # itemless control traffic still resumes under the span that
-            # submitted it (e.g. a SubscriptionEnd inside a publish)
-            lineage=lineage if lineage is not None else instr.trace_context(),
-            enqueued_at=self.clock.now(),
-            priority=priority,
+            sink,
+            send,
+            item_list,
+            family,
+            describe,
+            lineage,
+            self.clock.now(),
+            priority,
             on_delivered=on_delivered,
             on_dead=on_dead,
+            on_failed=on_failed,
         )
         if self.store is not None and self.store.replaying:
             resolution = self.store.resolve_replay(task)
             if resolution is not None:
                 return self._apply_replay_resolution(task, resolution)
-        self.stats.submitted += 1
+        stats = self.stats
+        stats.submitted += 1
         if len(item_list) > 1:
-            self.stats.batched += 1
-        submitted_counter = self._bound_counters.probe(
-            instr, "submitted:" + family
-        )
-        if submitted_counter is None:
-            submitted_counter = self._bound_counters.get(
-                instr, "submitted:" + family, "delivery.submitted", family=family
+            stats.batched += 1
+        if instr.enabled:
+            submitted_counter = self._bound_counters.probe(
+                instr, "submitted:" + family
             )
-        submitted_counter.inc()
-        self._record_items(task, "enqueued", sink=sink, family=family)
+            if submitted_counter is None:
+                submitted_counter = self._bound_counters.get(
+                    instr, "submitted:" + family, "delivery.submitted",
+                    family=family,
+                )
+            submitted_counter.inc()
+            self._record_items(task, "enqueued", sink=sink, family=family)
         self._enqueue(task)
-        self._notify_backlog()
+        if self.backlog_listeners:
+            self._notify_backlog()
         return task
 
     def resubmit(self, task: DeliveryTask) -> DeliveryTask:
@@ -244,7 +269,9 @@ class DeliveryManager:
                 instr.lineage_event(item.lineage.lineage_id, state, **detail)
 
     def _enqueue(self, task: DeliveryTask) -> None:
-        queue = self._queues.setdefault(task.sink, deque())
+        queue = self._queues.get(task.sink)
+        if queue is None:
+            queue = self._queues[task.sink] = deque()
         if self.qos is not None:
             admit, victims = self.qos.plan_admission(task.sink, queue, task)
             for victim in victims:
@@ -421,35 +448,38 @@ class DeliveryManager:
     def _drain_sink(self, sink: str) -> None:
         """Work the sink's queue head until empty or forced to wait."""
         instr = self.network.instrumentation
+        queues = self._queues
+        ttl = self.policy.message_ttl
         while True:
-            queue = self._queues.get(sink)
+            queue = queues.get(sink)
             if not queue:
-                self._queues.pop(sink, None)
+                queues.pop(sink, None)
                 return
             task = queue[0]
-            now = self.clock.now()
-            ttl = self.policy.message_ttl
-            if ttl is not None and now - task.enqueued_at >= ttl:
+            if ttl is not None and self.clock.now() - task.enqueued_at >= ttl:
                 queue.popleft()
                 self.stats.expired += 1
                 self._dead_letter(task, "ttl_expired")
                 continue
-            breaker = self._breaker_for(sink)
-            state_before = breaker.state
-            allowed = breaker.allows()
-            self._breaker_moved(instr, sink, state_before, breaker.state)
-            if not allowed:
-                # known-firewalled sinks store-and-forward straight away
-                if self.message_boxes is not None and self.message_boxes.get(
-                    sink
-                ) is not None and task.items:
-                    queue.popleft()
-                    self._park(task)
-                    continue
-                self.stats.breaker_fast_fails += 1
-                instr.count("delivery.breaker_fast_fails", family=task.family)
-                self._wake_at(sink, breaker.retry_at())
-                return
+            breaker = self._breakers.get(sink)
+            if breaker is None:
+                breaker = self._breaker_for(sink)
+            if breaker.state is not BreakerState.CLOSED:
+                state_before = breaker.state
+                allowed = breaker.allows()
+                self._breaker_moved(instr, sink, state_before, breaker.state)
+                if not allowed:
+                    # known-firewalled sinks store-and-forward straight away
+                    if self.message_boxes is not None and self.message_boxes.get(
+                        sink
+                    ) is not None and task.items:
+                        queue.popleft()
+                        self._park(task)
+                        continue
+                    self.stats.breaker_fast_fails += 1
+                    instr.count("delivery.breaker_fast_fails", family=task.family)
+                    self._wake_at(sink, breaker.retry_at())
+                    return
             if self.qos is not None:
                 ready_at = self.qos.attempt_delay(sink)
                 if ready_at is not None:
@@ -461,115 +491,167 @@ class DeliveryManager:
                     return
             task.attempts += 1
             self.stats.attempts += 1
-            bound = self._bound_counters
-            attempts_counter = bound.probe(instr, "attempts:" + task.family)
-            if attempts_counter is None:
-                attempts_counter = bound.get(
-                    instr, "attempts:" + task.family, "delivery.attempts",
-                    family=task.family,
-                )
-            attempts_counter.inc()
             if task.attempts > 1:
                 self.stats.retries += 1
-                bound.get(
-                    instr, "retries:" + task.family, "delivery.retries",
-                    family=task.family,
-                ).inc()
-            self._record_items(task, "attempted", n=task.attempts, sink=sink)
             try:
-                # resume the message's trace: a scheduler-fired retry has an
-                # empty span stack, so ``remote=`` re-parents this attempt
-                # (and the wire injection inside the thunk) under the span
-                # that enqueued the task
-                with instr.span(
-                    "delivery.attempt",
-                    remote=task.lineage,
-                    sink=sink,
-                    family=task.family,
-                    attempt=str(task.attempts),
-                ):
+                if instr.enabled:
+                    self._count_attempt(instr, task)
+                    # resume the message's trace: a scheduler-fired retry has
+                    # an empty span stack, so ``remote=`` re-parents this
+                    # attempt (and the wire injection inside the thunk) under
+                    # the span that enqueued the task
+                    with instr.span(
+                        "delivery.attempt",
+                        remote=task.lineage,
+                        sink=sink,
+                        family=task.family,
+                        attempt=str(task.attempts),
+                    ):
+                        task.send()
+                else:
                     task.send()
             except (NetworkError, SoapFault) as exc:
-                task.last_error = f"{type(exc).__name__}: {exc}"
-                state_before = breaker.state
-                breaker.record_failure()
-                self._breaker_moved(instr, sink, state_before, breaker.state)
-                self.stats.failed_attempts += 1
-                instr.count(
-                    "delivery.failed_total",
-                    family=task.family,
-                    stage="attempt",
-                    kind=type(exc).__name__,
-                )
-                flight = instr.flight
-                if flight.enabled:
-                    flight.record(
-                        "delivery", sink=sink, family=task.family,
-                        outcome="failed_attempt", attempt=task.attempts,
-                        error=type(exc).__name__,
-                    )
-                if isinstance(exc, FirewallBlocked) and self._parkable(task):
-                    queue.popleft()
-                    self._park(task)
+                if self._attempt_failed(queue, task, breaker, exc):
                     continue
-                if task.attempts >= self.policy.max_attempts:
-                    queue.popleft()
-                    self._dead_letter(task, "max_attempts")
-                    continue
-                delay = self.policy.backoff(task.attempts, self.rng)
-                self._wake_at(
-                    sink, max(self.clock.now() + delay, breaker.retry_at())
-                )
                 return
+            except Exception:
+                # not a delivery outcome (e.g. a bug in a consumer handler):
+                # the error reaches the publisher, and the task leaves the
+                # queue so later sends to this sink are not stuck behind it
+                queue.popleft()
+                if queue:
+                    self._wake_at(sink, self.clock.now())
+                raise
             # success (the send itself advanced the clock by the RTT)
-            state_before = breaker.state
-            breaker.record_success()
-            self._breaker_moved(instr, sink, state_before, breaker.state)
-            delivered_at = self.clock.now()
+            if (
+                breaker.consecutive_failures
+                or breaker.state is not BreakerState.CLOSED
+            ):
+                state_before = breaker.state
+                breaker.record_success()
+                self._breaker_moved(instr, sink, state_before, breaker.state)
             task.status = TaskStatus.DELIVERED
-            task.delivered_at = delivered_at
+            task.delivered_at = self.clock.now()
             queue.popleft()
             self.stats.delivered += 1
-            delivered_counter = self._bound_counters.probe(
-                instr, "delivered:" + task.family
-            )
-            if delivered_counter is None:
-                delivered_counter = self._bound_counters.get(
-                    instr, "delivered:" + task.family, "delivery.delivered",
-                    family=task.family,
-                )
-            delivered_counter.inc()
-            if instr is not self._lag_instr:
-                self._lag_instr = instr
-                self._lag_histograms = {}
-            lag_histogram = self._lag_histograms.get(task.family)
-            if lag_histogram is None:
-                lag_histogram = self._lag_histograms[task.family] = (
-                    instr.histogram_handle(
-                        "delivery.queue_lag_seconds", family=task.family
-                    )
-                )
-            lag_histogram.observe(delivered_at - task.enqueued_at)
-            flight = instr.flight
-            if flight.enabled:
-                flight.record(
-                    "delivery", sink=task.sink, family=task.family,
-                    outcome="delivered", attempt=task.attempts,
-                    items=len(task.items),
-                )
             if instr.enabled:
-                for item in task.items:
-                    if item.lineage is not None:
-                        instr.lineage_delivered(
-                            item.lineage.lineage_id,
-                            family=task.family,
-                            hops=item.lineage.hop + 1,
-                            sink=task.sink,
-                        )
+                self._count_delivered(instr, task)
             if self.store is not None:
                 self.store.task_delivered(task)
             if task.on_delivered is not None:
                 task.on_delivered(task)
+
+    def _count_attempt(self, instr, task: DeliveryTask) -> None:
+        bound = self._bound_counters
+        attempts_counter = bound.probe(instr, "attempts:" + task.family)
+        if attempts_counter is None:
+            attempts_counter = bound.get(
+                instr, "attempts:" + task.family, "delivery.attempts",
+                family=task.family,
+            )
+        attempts_counter.inc()
+        if task.attempts > 1:
+            bound.get(
+                instr, "retries:" + task.family, "delivery.retries",
+                family=task.family,
+            ).inc()
+        self._record_items(task, "attempted", n=task.attempts, sink=task.sink)
+
+    def _count_delivered(self, instr, task: DeliveryTask) -> None:
+        delivered_counter = self._bound_counters.probe(
+            instr, "delivered:" + task.family
+        )
+        if delivered_counter is None:
+            delivered_counter = self._bound_counters.get(
+                instr, "delivered:" + task.family, "delivery.delivered",
+                family=task.family,
+            )
+        delivered_counter.inc()
+        if instr is not self._lag_instr:
+            self._lag_instr = instr
+            self._lag_histograms = {}
+        lag_histogram = self._lag_histograms.get(task.family)
+        if lag_histogram is None:
+            lag_histogram = self._lag_histograms[task.family] = (
+                instr.histogram_handle(
+                    "delivery.queue_lag_seconds", family=task.family
+                )
+            )
+        lag_histogram.observe(task.delivered_at - task.enqueued_at)
+        flight = instr.flight
+        if flight.enabled:
+            flight.record(
+                "delivery", sink=task.sink, family=task.family,
+                outcome="delivered", attempt=task.attempts,
+                items=len(task.items),
+            )
+        for item in task.items:
+            if item.lineage is not None:
+                instr.lineage_delivered(
+                    item.lineage.lineage_id,
+                    family=task.family,
+                    hops=item.lineage.hop + 1,
+                    sink=task.sink,
+                )
+
+    def _attempt_failed(
+        self,
+        queue: deque,
+        task: DeliveryTask,
+        breaker: CircuitBreaker,
+        exc: Exception,
+    ) -> bool:
+        """Settle one failed attempt; True when the queue head moved on (the
+        drain continues), False when the sink must wait for a retry."""
+        instr = self.network.instrumentation
+        task.last_error = f"{type(exc).__name__}: {exc}"
+        state_before = breaker.state
+        breaker.record_failure()
+        self._breaker_moved(instr, task.sink, state_before, breaker.state)
+        self.stats.failed_attempts += 1
+        if self._direct:
+            queue.popleft()
+            self._fail(task, exc)
+            return True
+        instr.count(
+            "delivery.failed_total",
+            family=task.family,
+            stage="attempt",
+            kind=type(exc).__name__,
+        )
+        flight = instr.flight
+        if flight.enabled:
+            flight.record(
+                "delivery", sink=task.sink, family=task.family,
+                outcome="failed_attempt", attempt=task.attempts,
+                error=type(exc).__name__,
+            )
+        if isinstance(exc, FirewallBlocked) and self._parkable(task):
+            queue.popleft()
+            self._park(task)
+            return True
+        if task.attempts >= self.policy.max_attempts:
+            queue.popleft()
+            self._dead_letter(task, "max_attempts")
+            return True
+        delay = self.policy.backoff(task.attempts, self.rng)
+        self._wake_at(
+            task.sink, max(self.clock.now() + delay, breaker.retry_at())
+        )
+        return False
+
+    def _fail(self, task: DeliveryTask, exc: Exception) -> None:
+        """The direct policy's terminal failure: every obligation closes as
+        ``failed`` and the owner's ``on_failed`` records the failure (with
+        its own stage label) and ends the subscription."""
+        task.status = TaskStatus.FAILED
+        self._record_items(
+            task, "failed", sink=task.sink, reason=type(exc).__name__
+        )
+        if self.store is not None:
+            self.store.task_dead(task, "failed")
+        if task.on_failed is not None:
+            task.on_failed(task, exc)
 
     # --- introspection -----------------------------------------------------
 

@@ -2,11 +2,13 @@
 
 Before this subsystem existed, the WSE source and WSN producer swallowed
 push failures in bare ``except (NetworkError, SoapFault): pass`` blocks —
-exactly the silent drop the paper's "reliable" broker claim forbids.  Every
-failure now produces a :class:`DeliveryFailure` record on the owning
-component's ``delivery_failures`` list and bumps the ``delivery.failed_total``
-obs counter, whether or not a :class:`DeliveryManager` (reliability) is
-attached.  The record is deliberately tiny: components keep it even in
+exactly the silent drop the paper's "reliable" broker claim forbids.  Under
+the direct delivery policy every failed send now produces a
+:class:`DeliveryFailure` record on the owning component's
+``delivery_failures`` list and bumps the ``delivery.failed_total`` obs
+counter once, labelled with the send site's stage; a reliable policy counts
+each failed attempt (``stage=attempt``) and dead-letters what it gives up
+on.  The record is deliberately tiny: components keep it even in
 uninstrumented runs, so tests and operators can always answer "what did we
 fail to deliver, to whom, and why".
 """

@@ -12,6 +12,7 @@ thresholds the per-sink breakers are built from.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -65,10 +66,15 @@ class DeliveryPolicy:
         return raw
 
 
-#: single-shot policy: behaves like the historical best-effort push except
-#: that failures become visible (outcome records + DLQ) instead of silent
+#: the direct policy, run when no DeliveryPolicy is configured: one attempt
+#: per message, and a failed send ends the subscription (WSE DeliveryFailure,
+#: WSN destroy) instead of dead-lettering.  The breaker never trips, so one
+#: dead sink cannot fast-fail another subscription's first attempt.
 BEST_EFFORT = DeliveryPolicy(
-    max_attempts=1, base_backoff=0.0, jitter=0.0, breaker_failure_threshold=1
+    max_attempts=1,
+    base_backoff=0.0,
+    jitter=0.0,
+    breaker_failure_threshold=sys.maxsize,
 )
 
 

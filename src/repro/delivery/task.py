@@ -1,8 +1,8 @@
 """Delivery tasks: one queued outbound notification and its life story.
 
 A task is what the WSE source / WSN producer hand the
-:class:`~repro.delivery.manager.DeliveryManager` instead of pushing
-directly: the target sink address, a ``send`` thunk that performs exactly
+:class:`~repro.delivery.manager.DeliveryManager` for every outbound send:
+the target sink address, a ``send`` thunk that performs exactly
 one wire attempt (raising the transport's ``NetworkError`` family or
 ``SoapFault`` on failure), and the spec-neutral message items so the
 firewall fallback can park the *content* in a message box even though the
@@ -50,6 +50,9 @@ class TaskStatus:
     #: dropped by the adaptive QoS layer (bounded-queue or box overflow) —
     #: an accounted decision, closed in the lineage ledger as ``shed``
     SHED = "shed"
+    #: the direct policy's single attempt failed: closed in the lineage
+    #: ledger as ``failed``, never kept in the dead-letter queue
+    FAILED = "failed"
 
 
 @dataclass
@@ -80,6 +83,8 @@ class DeliveryTask:
     on_delivered: Optional[Callable[["DeliveryTask"], None]] = None
     #: called once with (task, reason) when the task is dead-lettered
     on_dead: Optional[Callable[["DeliveryTask", str], None]] = None
+    #: called once with (task, error) when the direct policy fails the task
+    on_failed: Optional[Callable[["DeliveryTask", Exception], None]] = None
 
     @property
     def done(self) -> bool:

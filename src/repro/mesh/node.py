@@ -291,8 +291,7 @@ class MeshNode:
         return self.broker.run_deliveries_until_idle(deadline=deadline)
 
     def pending_deliveries(self) -> int:
-        manager = self.broker.delivery_manager
-        return manager.pending() if manager is not None else 0
+        return self.broker.delivery_manager.pending()
 
     def close(self) -> None:
         """Leave the mesh: drop links, then unmount every endpoint."""

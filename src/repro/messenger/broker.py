@@ -34,11 +34,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.delivery.manager import DeliveryManager
 from repro.delivery.messagebox import MessageBoxRegistry
-from repro.delivery.policy import BatchingPolicy, DeliveryPolicy
+from repro.delivery.policy import BEST_EFFORT, BatchingPolicy, DeliveryPolicy
 from repro.filters.topics import TopicNamespace
 from repro.messenger.adapters import InMemoryBackbone, MessagingBackbone
 from repro.messenger.detection import DetectedSpec, SpecDetectionError, SpecFamily, detect_spec
-from repro.messenger.journal import SubscriptionJournal
 from repro.obs.instrument import BoundCounters
 from repro.qos.adaptive import AdaptiveQosController, AdaptiveQosPolicy
 from repro.messenger import mediation
@@ -89,7 +88,6 @@ class WsMessenger:
         topic_namespace: Optional[TopicNamespace] = None,
         wse_versions: Optional[list[WseVersion]] = None,
         wsn_versions: Optional[list[WsnVersion]] = None,
-        journal: Optional["SubscriptionJournal"] = None,
         delivery: Optional[DeliveryPolicy] = None,
         delivery_seed: int = 0,
         qos: Optional[AdaptiveQosPolicy] = None,
@@ -113,8 +111,6 @@ class WsMessenger:
         self._bound_counters = BoundCounters()
         self.backbone = backbone or InMemoryBackbone()
         self.backbone.network = network
-        #: optional crash-recovery journal (see repro.messenger.journal)
-        self.journal = journal
         #: optional event-sourced durable core (see repro.store); exactly-
         #: once outcomes need the delivery pipeline, so a store implies one
         self.store = store
@@ -124,28 +120,27 @@ class WsMessenger:
         # pacing and shedding all live in the delivery manager)
         if qos is not None and delivery is None:
             delivery = DeliveryPolicy()
-        # reliable delivery: a DeliveryPolicy turns the best-effort push into
-        # the store-and-forward pipeline shared by every internal source
-        if delivery is not None:
-            self.message_boxes: Optional[MessageBoxRegistry] = MessageBoxRegistry(
-                network, f"{address}/msgbox"
-            )
-            self.qos: Optional[AdaptiveQosController] = (
-                AdaptiveQosController(network.clock, policy=qos)
-                if qos is not None
-                else None
-            )
-            self.delivery_manager: Optional[DeliveryManager] = DeliveryManager(
-                network,
-                policy=delivery,
-                seed=delivery_seed,
-                message_boxes=self.message_boxes,
-                qos=self.qos,
-            )
-        else:
-            self.message_boxes = None
-            self.delivery_manager = None
-            self.qos = None
+        # one delivery pipeline shared by every internal source and producer:
+        # a DeliveryPolicy makes it store-and-forward (retries, message boxes,
+        # DLQ); without one it runs the direct policy, where a failed send
+        # ends the subscription
+        self.message_boxes: Optional[MessageBoxRegistry] = (
+            MessageBoxRegistry(network, f"{address}/msgbox")
+            if delivery is not None
+            else None
+        )
+        self.qos: Optional[AdaptiveQosController] = (
+            AdaptiveQosController(network.clock, policy=qos)
+            if qos is not None
+            else None
+        )
+        self.delivery_manager = DeliveryManager(
+            network,
+            policy=delivery or BEST_EFFORT,
+            seed=delivery_seed,
+            message_boxes=self.message_boxes,
+            qos=self.qos,
+        )
         topics = topic_namespace or TopicNamespace()
         # internal per-version implementations on hidden sub-addresses; the
         # manager EPRs they mint are handed to clients verbatim, so Renew /
@@ -191,7 +186,7 @@ class WsMessenger:
             Callable[[XElem, Optional[str]], bool]
         ] = None
         # capture the identity each granted Subscribe mints — (family, tag,
-        # sub_id, granted absolute expiry) — for the journal and the store
+        # sub_id, granted absolute expiry) — for the store
         self._last_granted: Optional[tuple[str, str, str, Optional[float]]] = None
         for version, source in self.wse_sources.items():
             source.store.on_created.append(
@@ -241,18 +236,15 @@ class WsMessenger:
         if self.message_boxes is not None:
             self.message_boxes.close()
 
-    # --- reliable-delivery pump -------------------------------------------------------
+    # --- delivery pump ----------------------------------------------------------------
 
     def pump_deliveries(self) -> int:
-        """Run delivery retries already due on the virtual clock."""
-        if self.delivery_manager is None:
-            return 0
+        """Run delivery retries and batch windows already due on the virtual
+        clock."""
         return self.delivery_manager.run_due()
 
     def run_deliveries_until_idle(self, *, deadline: Optional[float] = None) -> int:
         """Fast-forward the clock until the delivery pipeline drains."""
-        if self.delivery_manager is None:
-            return 0
         return self.delivery_manager.run_until_idle(deadline=deadline)
 
     # --- the front door -----------------------------------------------------------
@@ -299,8 +291,6 @@ class WsMessenger:
         reply = self._route(envelope, headers, spec)
         if spec.operation == "Subscribe":  # only reached on success (no fault)
             granted, self._last_granted = self._last_granted, None
-            if self.journal is not None:
-                self.journal.record(envelope, granted=granted)
             if self.store is not None:
                 self.store.record_subscribe(envelope, headers.action, granted)
         return reply

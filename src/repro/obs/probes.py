@@ -155,10 +155,9 @@ class GaugeProbes:
 
     def watch_broker(self, broker, **labels: str) -> None:
         """Everything one :class:`~repro.messenger.WsMessenger` queues."""
-        if broker.delivery_manager is not None:
-            self.watch_delivery_manager(broker.delivery_manager, **labels)
-            if broker.delivery_manager.qos is not None:
-                self.watch_qos(broker.delivery_manager, **labels)
+        self.watch_delivery_manager(broker.delivery_manager, **labels)
+        if broker.delivery_manager.qos is not None:
+            self.watch_qos(broker.delivery_manager, **labels)
         # WSE sources batch via wrapped-mode subscription queues, which the
         # broker.sub_queue_depth{family=wse} source below already covers;
         # only WSN producers own a DeliveryBatcher

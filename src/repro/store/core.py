@@ -147,8 +147,7 @@ class BrokerStore:
         for version, producer in broker.wsn_producers.items():
             tag = version.name.lower()
             producer.subscription_listeners.append(self._wsn_hook(tag))
-        if broker.delivery_manager is not None:
-            broker.delivery_manager.store = self
+        broker.delivery_manager.store = self
         if broker.message_boxes is not None:
             broker.message_boxes.on_drained = self._box_drained
 
@@ -431,13 +430,10 @@ class BrokerStore:
         if broker.message_boxes is not None:
             for box in broker.message_boxes.boxes():
                 boxes[box.sink] = {"address": box.address, "pending": len(box)}
-        dead = 0
-        if broker.delivery_manager is not None:
-            dead = len(broker.delivery_manager.dlq)
         return {
             "subscriptions": subscriptions,
             "boxes": boxes,
-            "dead_letters": dead,
+            "dead_letters": len(broker.delivery_manager.dlq),
         }
 
     def snapshot(self) -> dict:

@@ -10,15 +10,15 @@ here, switched by the version profile.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from repro.delivery.limits import parse_drain_limit
+from repro.delivery.manager import DeliveryManager
 from repro.delivery.outcome import DeliveryFailure, record_failure
-from repro.delivery.policy import BatchingPolicy
+from repro.delivery.policy import BEST_EFFORT, BatchingPolicy
 from repro.delivery.task import DeliveryItem
 from repro.qos.adaptive import validate_supported
 from repro.qos.properties import DiscardPolicy, QosError, QosProfile
-from repro.transport.clock import ClockScheduler
 from repro.filters.base import AcceptAllFilter, Filter, FilterContext, FilterError
 from repro.obs.instrument import BoundCounters
 from repro.filters.content import MessageContentFilter
@@ -26,7 +26,7 @@ from repro.filters.topics import TopicSubscriptionIndex, topic_expression_of
 from repro.soap.envelope import SoapEnvelope, SoapVersion
 from repro.soap.fault import FaultCode, SoapFault
 from repro.transport.endpoint import SoapClient, SoapEndpoint
-from repro.transport.network import NetworkError, SimulatedNetwork
+from repro.transport.network import SimulatedNetwork
 from repro.wsa.epr import EndpointReference
 from repro.wsa.headers import MessageHeaders, apply_headers
 from repro.wse import messages
@@ -40,9 +40,6 @@ from repro.wse.versions import WseVersion
 from repro.xmlkit.element import XElem
 from repro.xmlkit.names import Namespaces, QName
 from repro.util.xstime import format_datetime, parse_expires
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.delivery.manager import DeliveryManager
 
 #: default action URI stamped on raw (unwrapped) notification messages
 DEFAULT_NOTIFY_ACTION = "http://repro.invalid/wse/Notify"
@@ -63,8 +60,7 @@ class EventSource:
         wrapped_batch_size: int = 10,
         producer_properties: Optional[dict[str, str]] = None,
         topic_header: Optional["QName"] = None,
-        delivery_retries: int = 0,
-        delivery_manager: Optional["DeliveryManager"] = None,
+        delivery_manager: Optional[DeliveryManager] = None,
         debug_linear_match: bool = False,
         batching: Optional[BatchingPolicy] = None,
     ) -> None:
@@ -81,24 +77,18 @@ class EventSource:
         # mediation hook (section V.4 category 6): WSE has no body slot for a
         # topic, so when set, published topics ride as this SOAP header
         self.topic_header = topic_header
-        #: transient failures (lost messages) are retried this many times
-        #: before the subscription is ended with DeliveryFailure
-        self.delivery_retries = delivery_retries
-        #: when set, push delivery routes through the reliable store-and-
-        #: forward pipeline instead of the immediate best-effort attempt
-        self.delivery_manager = delivery_manager
+        #: every outbound send goes through this pipeline; without one this
+        #: source runs its own on the direct policy, where a failed send
+        #: ends the subscription with DeliveryFailure
+        self.delivery_manager = delivery_manager or DeliveryManager(
+            network, policy=BEST_EFFORT
+        )
         #: wrapped-mode batching policy: ``max_batch`` replaces the size
         #: trigger, a positive ``window`` flushes partial batches on the
-        #: virtual clock instead of waiting for explicit ``flush()``
+        #: delivery manager's clock scheduler instead of waiting for an
+        #: explicit ``flush()``
         self.batching = batching
         self._wrapped_deadlines: dict[str, float] = {}
-        self._batch_scheduler: Optional[ClockScheduler] = None
-        if batching is not None and batching.window > 0:
-            self._batch_scheduler = (
-                delivery_manager.scheduler
-                if delivery_manager is not None
-                else ClockScheduler(network.clock)
-            )
         #: every failed outbound send, recorded (see repro.delivery.outcome)
         self.delivery_failures: list[DeliveryFailure] = []
         #: escape hatch: bypass the topic index / frozen-payload fast path and
@@ -156,7 +146,7 @@ class EventSource:
     # --- subscribe --------------------------------------------------------------
 
     def force_next_subscription_id(self, sub_id: str) -> None:
-        """Pin the id the next Subscribe mints (log/journal replay)."""
+        """Pin the id the next Subscribe mints (event-log replay)."""
         self._forced_sub_id = sub_id
 
     def _fire_lifecycle(self, event: str, subscription: WseSubscription, **detail) -> None:
@@ -218,11 +208,7 @@ class EventSource:
         if request.qos is None:
             return None
         try:
-            controller = (
-                self.delivery_manager.qos
-                if self.delivery_manager is not None
-                else None
-            )
+            controller = self.delivery_manager.qos
             if controller is not None and request.notify_to is not None:
                 return controller.register_consumer(
                     request.notify_to.address, request.qos
@@ -505,12 +491,15 @@ class EventSource:
 
     def _note_wrapped_queued(self, subscription: WseSubscription) -> None:
         """First message into an empty wrapped queue starts its window."""
-        if self._batch_scheduler is None or len(subscription.queue) != 1:
+        if (
+            self.batching is None
+            or self.batching.window <= 0
+            or len(subscription.queue) != 1
+        ):
             return
-        assert self.batching is not None
         when = self.clock.now() + self.batching.window
         self._wrapped_deadlines[subscription.id] = when
-        self._batch_scheduler.call_at(
+        self.delivery_manager.scheduler.call_at(
             when, lambda: self._on_wrapped_deadline(subscription.id, when)
         )
 
@@ -618,102 +607,55 @@ class EventSource:
                     expect_reply=False,
                     extra_headers=extra,
                 )
+            self._count_delivered(instr)
 
-        if self.delivery_manager is not None:
-            self.delivery_manager.submit(
-                subscription.notify_to.address,
-                attempt,
-                items=[
-                    DeliveryItem(
-                        payload if payload.frozen else payload.copy(),
-                        topic,
-                        lineage=self.network.instrumentation.trace_context(),
-                    )
-                ],
-                family="wse",
-                describe=f"notify {subscription.id}",
-                priority=self._priority_of(subscription),
-            )
-            return
-        self._deliver_with_retries(subscription, "notify", attempt)
-
-    def _deliver_with_retries(
-        self, subscription: WseSubscription, stage: str, attempt
-    ) -> None:
-        from repro.transport.network import MessageLost
-
-        instr = self.network.instrumentation
-        sink = subscription.notify_to.address if subscription.notify_to else ""
-        lineage = instr.trace_context() if instr.enabled else None
-        if lineage is not None:
-            # direct path: the obligation opens and closes synchronously
-            # (ledger written directly — the lineage id is known non-None)
-            instr._ledger_record(
-                lineage.lineage_id, "enqueued", sink=sink, family="wse"
-            )
-        for remaining in range(self.delivery_retries, -1, -1):
-            if lineage is not None:
-                instr._ledger_record(
-                    lineage.lineage_id, "attempted",
-                    n=self.delivery_retries - remaining + 1, sink=sink,
+        self.delivery_manager.submit(
+            subscription.notify_to.address,
+            attempt,
+            items=[
+                DeliveryItem(
+                    payload if payload.frozen else payload.copy(),
+                    topic,
+                    lineage=self.network.instrumentation.trace_context(),
                 )
-            try:
-                attempt()
-                if instr.enabled:
-                    delivered_counter = self._bound_counters.probe(
-                        instr, "delivered"
-                    )
-                    if delivered_counter is None:
-                        delivered_counter = self._bound_counters.get(
-                            instr, "delivered", "notifications.delivered",
-                            family="wse", version=self._version_tag,
-                        )
-                    delivered_counter.inc()
-                if lineage is not None:
-                    instr.lineage_delivered(
-                        lineage.lineage_id,
-                        family="wse",
-                        hops=lineage.hop + 1,
-                        sink=sink,
-                    )
-                return
-            except MessageLost as exc:
-                if remaining == 0:  # transient, but retries exhausted
-                    self._record_push_failure(subscription, stage, exc)
-                    if lineage is not None:
-                        instr.lineage_event(
-                            lineage.lineage_id, "failed",
-                            sink=sink, reason=type(exc).__name__,
-                        )
-                    self._end_subscription(
-                        subscription, SubscriptionEndCode.DELIVERY_FAILURE, str(exc)
-                    )
-            except (NetworkError, SoapFault) as exc:
-                # hard failure (unreachable/refused/fault): no point retrying
-                self._record_push_failure(subscription, stage, exc)
-                if lineage is not None:
-                    instr.lineage_event(
-                        lineage.lineage_id, "failed",
-                        sink=sink, reason=type(exc).__name__,
-                    )
-                self._end_subscription(
-                    subscription, SubscriptionEndCode.DELIVERY_FAILURE, str(exc)
-                )
-                return
+            ],
+            family="wse",
+            describe=f"notify {subscription.id}",
+            priority=self._priority_of(subscription),
+            on_failed=lambda task, exc: self._delivery_failed(
+                subscription, "notify", exc
+            ),
+        )
 
-    def _record_push_failure(
+    def _count_delivered(self, instr) -> None:
+        delivered_counter = self._bound_counters.probe(instr, "delivered")
+        if delivered_counter is None:
+            delivered_counter = self._bound_counters.get(
+                instr, "delivered", "notifications.delivered",
+                family="wse", version=self._version_tag,
+            )
+        delivered_counter.inc()
+
+    def _delivery_failed(
         self, subscription: WseSubscription, stage: str, error: Exception
     ) -> None:
+        """The direct policy gave up on a send: record it and end the
+        subscription with DeliveryFailure."""
         instr = self.network.instrumentation
         if instr.enabled:
             self._bound_counters.get(
                 instr, "failed", "notifications.failed",
                 family="wse", version=self._version_tag,
             ).inc()
-        sink = subscription.notify_to.address if subscription.notify_to else ""
+        self._record_failure(stage, subscription.notify_to.address, error)
+        self._end_subscription(
+            subscription, SubscriptionEndCode.DELIVERY_FAILURE, str(error)
+        )
+
+    def _record_failure(self, stage: str, sink: str, error: Exception) -> None:
         record_failure(
             self.delivery_failures,
-            instr,
+            self.network.instrumentation,
             at=self.clock.now(),
             family="wse",
             stage=stage,
@@ -725,9 +667,15 @@ class EventSource:
         self._wrapped_deadlines.pop(subscription.id, None)
         batch, subscription.queue = subscription.queue, []
         wrapper = messages.build_wrapped_notification(self.version, batch)
+        # queued payloads carry no lineage of their own: the flush request
+        # opens one obligation on the trace it is sent under
+        lineage = self.network.instrumentation.trace_context()
         items = [
-            DeliveryItem(message if message.frozen else message.copy())
-            for message in batch
+            DeliveryItem(
+                message if message.frozen else message.copy(),
+                lineage=lineage if index == 0 else None,
+            )
+            for index, message in enumerate(batch)
         ]
 
         def attempt() -> None:
@@ -750,18 +698,19 @@ class EventSource:
                     [wrapper],
                     expect_reply=False,
                 )
+            self._count_delivered(instr)
 
-        if self.delivery_manager is not None:
-            self.delivery_manager.submit(
-                subscription.notify_to.address,
-                attempt,
-                items=items,
-                family="wse",
-                describe=f"wrapped notify {subscription.id}",
-                priority=self._priority_of(subscription),
-            )
-            return
-        self._deliver_with_retries(subscription, "wrapped_notify", attempt)
+        self.delivery_manager.submit(
+            subscription.notify_to.address,
+            attempt,
+            items=items,
+            family="wse",
+            describe=f"wrapped notify {subscription.id}",
+            priority=self._priority_of(subscription),
+            on_failed=lambda task, exc: self._delivery_failed(
+                subscription, "wrapped_notify", exc
+            ),
+        )
 
     # --- termination -----------------------------------------------------------------
 
@@ -798,27 +747,14 @@ class EventSource:
                 expect_reply=False,
             )
 
-        if self.delivery_manager is not None:
-            # control messages ride the reliable pipeline too (no parkable
-            # payload: an end notice is meaningless once the sink is gone)
-            self.delivery_manager.submit(
-                subscription.end_to.address,
-                send_end,
-                family="wse",
-                describe=f"subscription_end {subscription.id}",
-            )
-            return
-        try:
-            send_end()
-        except (NetworkError, SoapFault) as exc:
-            # the sink may be the thing that died — but the failure is
-            # recorded, never swallowed (delivery.failed_total)
-            record_failure(
-                self.delivery_failures,
-                self.network.instrumentation,
-                at=self.clock.now(),
-                family="wse",
-                stage="subscription_end",
-                sink=subscription.end_to.address,
-                error=exc,
-            )
+        # control messages ride the pipeline too (no parkable payload: an
+        # end notice is meaningless once the sink is gone)
+        self.delivery_manager.submit(
+            subscription.end_to.address,
+            send_end,
+            family="wse",
+            describe=f"subscription_end {subscription.id}",
+            on_failed=lambda task, exc: self._record_failure(
+                "subscription_end", subscription.end_to.address, exc
+            ),
+        )

@@ -98,13 +98,9 @@ class NotificationBroker:
             delivery_manager=delivery_manager,
         )
         self.producer.subscription_listeners.append(self._on_subscription_event)
-        self.delivery_manager = delivery_manager
-        if (
-            delivery_manager is not None
-            and qos is not None
-            and qos.pause_pending_above is not None
-        ):
-            delivery_manager.backlog_listeners.append(self._on_backlog)
+        self.delivery_manager = self.producer.delivery_manager
+        if qos is not None and qos.pause_pending_above is not None:
+            self.delivery_manager.backlog_listeners.append(self._on_backlog)
         # the broker's consumer side shares the producer endpoint: publishers
         # send Notify to the broker address
         self.producer.endpoint.on_action(version.action("Notify"), self._handle_notify)

@@ -11,11 +11,12 @@ WS-Eventing's SubscriptionEnd (Table 2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from repro.delivery.batcher import DeliveryBatcher
+from repro.delivery.manager import DeliveryManager
 from repro.delivery.outcome import DeliveryFailure, record_failure
-from repro.delivery.policy import BatchingPolicy
+from repro.delivery.policy import BEST_EFFORT, BatchingPolicy
 from repro.delivery.task import DeliveryItem
 from repro.filters.base import AcceptAllFilter, AndFilter, Filter, FilterContext, FilterError
 from repro.obs.instrument import BoundCounters
@@ -27,7 +28,7 @@ from repro.filters.topics import TopicFilter, TopicNamespace, topic_expression_o
 from repro.soap.envelope import SoapEnvelope, SoapVersion
 from repro.soap.fault import FaultCode, SoapFault
 from repro.transport.endpoint import SoapClient, SoapEndpoint
-from repro.transport.network import NetworkError, SimulatedNetwork
+from repro.transport.network import SimulatedNetwork
 from repro.wsa.epr import EndpointReference
 from repro.wsa.headers import MessageHeaders, apply_headers, fresh_message_id
 from repro.wsn import messages
@@ -42,15 +43,20 @@ from repro.xmlkit.writer import frozen_namespace_order
 from repro.xmlkit.names import Namespaces, QName
 from repro.util.xstime import format_datetime, parse_datetime, parse_expires
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.delivery.manager import DeliveryManager
-
 # resource property names of a subscription resource
 PROP_STATUS = QName(Namespaces.WSNT_13, "SubscriptionStatus")
 PROP_TERMINATION = QName(Namespaces.WSRF_RL, "TerminationTime")
 PROP_CONSUMER = QName(Namespaces.WSNT_13, "ConsumerReference")
 PROP_FILTER = QName(Namespaces.WSNT_13, "FilterDescription")
 PROP_TOPIC_SET = QName(Namespaces.WSTOP_13, "TopicSet")
+
+
+def _delivery_item(message: NotificationMessage, lineage) -> DeliveryItem:
+    """The spec-neutral content of one notification, for parking and replay."""
+    payload = message.payload
+    return DeliveryItem(
+        payload if payload.frozen else payload.copy(), message.topic, lineage=lineage
+    )
 
 
 @dataclass
@@ -90,7 +96,7 @@ class NotificationProducer:
         default_lifetime: Optional[float] = 3600.0,
         producer_properties: Optional[dict[str, str]] = None,
         enable_wsrf: Optional[bool] = None,
-        delivery_manager: Optional["DeliveryManager"] = None,
+        delivery_manager: Optional[DeliveryManager] = None,
         debug_linear_match: bool = False,
         batching: Optional[BatchingPolicy] = None,
         debug_no_templates: bool = False,
@@ -113,9 +119,12 @@ class NotificationProducer:
             self.wsrf_enabled = True
         else:
             self.wsrf_enabled = enable_wsrf or version.requires_wsrf
-        #: when set, push delivery routes through the reliable store-and-
-        #: forward pipeline instead of the immediate best-effort attempt
-        self.delivery_manager = delivery_manager
+        #: every outbound send goes through this pipeline; without one this
+        #: producer runs its own on the direct policy, where a failed send
+        #: destroys the subscription
+        self.delivery_manager = delivery_manager or DeliveryManager(
+            network, policy=BEST_EFFORT
+        )
         #: every failed outbound send, recorded (see repro.delivery.outcome)
         self.delivery_failures: list[DeliveryFailure] = []
         self.registry = ResourceRegistry(self.clock, key_prefix="wsn-sub")
@@ -157,7 +166,7 @@ class NotificationProducer:
                 self.clock,
                 batching,
                 self._flush_batch,
-                scheduler=delivery_manager.scheduler if delivery_manager else None,
+                scheduler=self.delivery_manager.scheduler,
                 instrumentation=network.instrumentation,
                 family="wsn",
             )
@@ -199,7 +208,7 @@ class NotificationProducer:
         return self._reply(headers, self.version.action("SubscribeResponse"), body)
 
     def force_next_subscription_id(self, sub_id: str) -> None:
-        """Pin the key the next Subscribe mints (log/journal replay)."""
+        """Pin the key the next Subscribe mints (event-log replay)."""
         self._forced_sub_id = sub_id
 
     def forget_subscription(self, sub_id: str) -> None:
@@ -255,9 +264,7 @@ class NotificationProducer:
         UnsupportedPolicyRequestFault) rather than silently degrading."""
         if qos is None:
             return
-        controller = (
-            self.delivery_manager.qos if self.delivery_manager is not None else None
-        )
+        controller = self.delivery_manager.qos
         try:
             if controller is not None:
                 controller.register_consumer(consumer.address, qos)
@@ -732,78 +739,44 @@ class NotificationProducer:
                     raw="true" if subscription.use_raw else "false",
                 ):
                     self._send_notifications(subscription, notifications)
-                delivered_counter = self._bound_counters.probe(
-                    instr, "delivered"
-                )
-                if delivered_counter is None:
-                    delivered_counter = self._bound_counters.get(
-                        instr, "delivered", "notifications.delivered",
-                        family="wsn", version=self._version_tag,
-                    )
-                delivered_counter.inc()
+                self._count_delivered(instr, 1)
 
-        if self.delivery_manager is not None:
-            # reliable path: the pipeline owns retries, dead-lettering and the
-            # firewall fallback, so a failed attempt never ends the subscription
-            lineage = instr.trace_context()
-            self.delivery_manager.submit(
-                subscription.consumer.address,
-                attempt,
-                items=[
-                    DeliveryItem(
-                        item.payload if item.payload.frozen else item.payload.copy(),
-                        item.topic,
-                        lineage=lineage,
-                    )
-                    for item in notifications
-                ],
-                family="wsn",
-                describe=f"notify {subscription.key}",
-                priority=self._priority_of(subscription),
+        lineage = instr.trace_context()
+        self.delivery_manager.submit(
+            subscription.consumer.address,
+            attempt,
+            items=[_delivery_item(item, lineage) for item in notifications],
+            family="wsn",
+            describe=f"notify {subscription.key}",
+            priority=self._priority_of(subscription),
+            on_failed=lambda task, exc: self._delivery_failed(
+                [subscription], 1, exc
+            ),
+        )
+
+    def _count_delivered(self, instr, notifications: int) -> None:
+        delivered_counter = self._bound_counters.probe(instr, "delivered")
+        if delivered_counter is None:
+            delivered_counter = self._bound_counters.get(
+                instr, "delivered", "notifications.delivered",
+                family="wsn", version=self._version_tag,
             )
-            return
-        lineage = instr.trace_context() if instr.enabled else None
-        sink = subscription.consumer.address
-        if lineage is not None:
-            # direct path: the obligation opens and closes synchronously
-            # (ledger written directly — the lineage id is known non-None)
-            record = instr._ledger_record
-            for _ in notifications:
-                record(lineage.lineage_id, "enqueued", sink=sink, family="wsn")
-                record(lineage.lineage_id, "attempted", n=1, sink=sink)
-        try:
-            attempt()
-            if lineage is not None:
-                for _ in notifications:
-                    instr.lineage_delivered(
-                        lineage.lineage_id,
-                        family="wsn",
-                        hops=lineage.hop + 1,
-                        sink=sink,
-                    )
-        except (NetworkError, SoapFault) as exc:
-            # failed consumer: destroy the subscription (soft state would
-            # collect it anyway; this mirrors WSE's DeliveryFailure ending)
-            if instr.enabled:
-                self._bound_counters.get(
-                    instr, "failed", "notifications.failed",
-                    family="wsn", version=self._version_tag,
-                ).inc()
-            if lineage is not None:
-                for _ in notifications:
-                    instr.lineage_event(
-                        lineage.lineage_id, "failed",
-                        sink=sink, reason=type(exc).__name__,
-                    )
-            record_failure(
-                self.delivery_failures,
-                instr,
-                at=self.clock.now(),
-                family="wsn",
-                stage="notify",
-                sink=subscription.consumer.address,
-                error=exc,
-            )
+        delivered_counter.inc(notifications)
+
+    def _delivery_failed(
+        self, subscriptions: list[WsnSubscription], notifications: int, error
+    ) -> None:
+        """The direct policy gave up on a send: record it and destroy every
+        subscription it carried (soft state would collect them anyway; this
+        mirrors WSE's DeliveryFailure ending)."""
+        instr = self.network.instrumentation
+        if instr.enabled:
+            self._bound_counters.get(
+                instr, "failed", "notifications.failed",
+                family="wsn", version=self._version_tag,
+            ).inc(notifications)
+        self._record_failure("notify", subscriptions[0].consumer.address, error)
+        for subscription in subscriptions:
             try:
                 self.registry.destroy(subscription.key, reason="delivery failure")
             except ResourceUnknownFault as destroy_exc:
@@ -826,10 +799,9 @@ class NotificationProducer:
     ) -> None:
         """Deliver one coalesced batch: same sink, same shape, one request.
 
-        Mirrors :meth:`_deliver` exactly — manager path submits one task
-        whose items carry each notification's own lineage; the direct path
-        opens and closes every obligation synchronously and ends all batched
-        subscriptions on failure, just as a per-subscriber push would have.
+        Mirrors :meth:`_deliver`: one task whose items carry each
+        notification's own lineage; a failure under the direct policy ends
+        every batched subscription, just as per-subscriber pushes would.
         """
         instr = self.network.instrumentation
         consumer = entries[0][0].consumer
@@ -845,68 +817,21 @@ class NotificationProducer:
                     batch=str(len(wrapped)),
                 ):
                     self._send_wrapped(consumer, wrapped)
-                self._bound_counters.get(
-                    instr, "delivered", "notifications.delivered",
-                    family="wsn", version=self._version_tag,
-                ).inc(len(wrapped))
+                self._count_delivered(instr, len(wrapped))
 
-        if self.delivery_manager is not None:
-            self.delivery_manager.submit(
-                sink,
-                attempt,
-                items=[
-                    DeliveryItem(
-                        item.payload if item.payload.frozen else item.payload.copy(),
-                        item.topic,
-                        lineage=lineage,
-                    )
-                    for _, item, lineage in entries
-                ],
-                family="wsn",
-                describe=f"notify batch[{len(entries)}] {sink}",
-                priority=max(self._priority_of(sub) for sub, _, _ in entries),
-            )
-            return
-        lineages = [lineage for _, _, lineage in entries if lineage is not None]
-        if lineages:
-            record = instr._ledger_record
-            for lineage in lineages:
-                record(lineage.lineage_id, "enqueued", sink=sink, family="wsn")
-                record(lineage.lineage_id, "attempted", n=1, sink=sink)
-        try:
-            attempt()
-            for lineage in lineages:
-                instr.lineage_delivered(
-                    lineage.lineage_id, family="wsn", hops=lineage.hop + 1, sink=sink
-                )
-        except (NetworkError, SoapFault) as exc:
-            if instr.enabled:
-                self._bound_counters.get(
-                    instr, "failed", "notifications.failed",
-                    family="wsn", version=self._version_tag,
-                ).inc(len(entries))
-            for lineage in lineages:
-                instr.lineage_event(
-                    lineage.lineage_id, "failed", sink=sink, reason=type(exc).__name__
-                )
-            record_failure(
-                self.delivery_failures,
-                instr,
-                at=self.clock.now(),
-                family="wsn",
-                stage="notify",
-                sink=sink,
-                error=exc,
-            )
-            for subscription in {sub.key: sub for sub, _, _ in entries}.values():
-                try:
-                    self.registry.destroy(subscription.key, reason="delivery failure")
-                except ResourceUnknownFault as destroy_exc:
-                    instr.count(
-                        "obs.swallowed_errors_total",
-                        site="wsn.producer.destroy_after_failure",
-                        kind=type(destroy_exc).__name__,
-                    )
+        self.delivery_manager.submit(
+            sink,
+            attempt,
+            items=[_delivery_item(item, lineage) for _, item, lineage in entries],
+            family="wsn",
+            describe=f"notify batch[{len(entries)}] {sink}",
+            priority=max(self._priority_of(sub) for sub, _, _ in entries),
+            on_failed=lambda task, exc: self._delivery_failed(
+                list({sub.key: sub for sub, _, _ in entries}.values()),
+                len(entries),
+                exc,
+            ),
+        )
 
     def _send_notifications(
         self, subscription: WsnSubscription, notifications: list[NotificationMessage]
@@ -1078,28 +1003,28 @@ class NotificationProducer:
                 expect_reply=False,
             )
 
-        if self.delivery_manager is not None:
-            # control message: retried like any delivery, but content-free so
-            # it is never parked in a message box
-            self.delivery_manager.submit(
-                subscription.consumer.address,
-                send_termination,
-                family="wsn",
-                describe=f"termination_notification {subscription.key}",
-            )
-            return
-        try:
-            send_termination()
-        except (NetworkError, SoapFault) as exc:
-            record_failure(
-                self.delivery_failures,
-                self.network.instrumentation,
-                at=self.clock.now(),
-                family="wsn",
-                stage="termination_notification",
-                sink=subscription.consumer.address,
-                error=exc,
-            )
+        # control message: retried like any delivery under a reliable
+        # policy, but content-free so it is never parked in a message box
+        self.delivery_manager.submit(
+            subscription.consumer.address,
+            send_termination,
+            family="wsn",
+            describe=f"termination_notification {subscription.key}",
+            on_failed=lambda task, exc: self._record_failure(
+                "termination_notification", subscription.consumer.address, exc
+            ),
+        )
+
+    def _record_failure(self, stage: str, sink: str, error: Exception) -> None:
+        record_failure(
+            self.delivery_failures,
+            self.network.instrumentation,
+            at=self.clock.now(),
+            family="wsn",
+            stage=stage,
+            sink=sink,
+            error=error,
+        )
 
     def sweep(self) -> None:
         """Expire overdue subscriptions (fires termination notifications)."""

@@ -11,6 +11,13 @@ def _collect(flushed):
     return lambda key, entries: flushed.append((key, list(entries)))
 
 
+def _batcher(clock, policy, flushed):
+    """A batcher whose window timers nothing pumps (size/explicit flushes)."""
+    return DeliveryBatcher(
+        clock, policy, _collect(flushed), scheduler=ClockScheduler(clock)
+    )
+
+
 class TestPolicy:
     def test_rejects_negative_window(self):
         with pytest.raises(ValueError):
@@ -24,8 +31,8 @@ class TestPolicy:
 class TestSizeTrigger:
     def test_flushes_when_group_reaches_max_batch(self):
         flushed = []
-        batcher = DeliveryBatcher(
-            VirtualClock(), BatchingPolicy(window=0.0, max_batch=3), _collect(flushed)
+        batcher = _batcher(
+            VirtualClock(), BatchingPolicy(window=0.0, max_batch=3), flushed
         )
         for i in range(3):
             batcher.add("sink", i)
@@ -34,8 +41,8 @@ class TestSizeTrigger:
 
     def test_groups_are_independent(self):
         flushed = []
-        batcher = DeliveryBatcher(
-            VirtualClock(), BatchingPolicy(window=0.0, max_batch=2), _collect(flushed)
+        batcher = _batcher(
+            VirtualClock(), BatchingPolicy(window=0.0, max_batch=2), flushed
         )
         batcher.add("a", 1)
         batcher.add("b", 2)
@@ -48,8 +55,8 @@ class TestSizeTrigger:
 class TestPublishBoundary:
     def test_zero_window_flush_publish_drains_everything(self):
         flushed = []
-        batcher = DeliveryBatcher(
-            VirtualClock(), BatchingPolicy(window=0.0, max_batch=100), _collect(flushed)
+        batcher = _batcher(
+            VirtualClock(), BatchingPolicy(window=0.0, max_batch=100), flushed
         )
         batcher.add("a", 1)
         batcher.add("b", 2)
@@ -59,8 +66,8 @@ class TestPublishBoundary:
     def test_positive_window_flush_publish_holds_groups(self):
         flushed = []
         clock = VirtualClock()
-        batcher = DeliveryBatcher(
-            clock, BatchingPolicy(window=5.0, max_batch=100), _collect(flushed)
+        batcher = _batcher(
+            clock, BatchingPolicy(window=5.0, max_batch=100), flushed
         )
         batcher.add("a", 1)
         batcher.flush_publish()  # windowed mode: the deadline decides
@@ -132,8 +139,8 @@ class TestWindowTrigger:
 class TestStats:
     def test_counts_flushes_and_largest_batch(self):
         flushed = []
-        batcher = DeliveryBatcher(
-            VirtualClock(), BatchingPolicy(window=0.0, max_batch=3), _collect(flushed)
+        batcher = _batcher(
+            VirtualClock(), BatchingPolicy(window=0.0, max_batch=3), flushed
         )
         for i in range(3):
             batcher.add("a", i)

