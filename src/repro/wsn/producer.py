@@ -647,9 +647,11 @@ class NotificationProducer:
                             subscription=subscription.key, mode="paused",
                         )
             elif self.batcher is not None and not subscription.use_raw:
-                # same sink + same shape coalesce into one wire request; the
-                # group key mirrors the byte-template cache key so every
-                # flushed batch renders through a single compiled envelope
+                # same sink + same shape coalesce into one wire request, so
+                # every flushed batch renders through a single compiled
+                # envelope; the topic stays in the group key (the template
+                # takes it as a slot) only so that one request carries one
+                # topic
                 lineage = instr.trace_context() if instr.enabled else None
                 self.batcher.add(
                     (
@@ -942,17 +944,14 @@ class NotificationProducer:
             return None
         message_id = fresh_message_id()
         phases = instr.phases
-        if phases is None:
-            return compiled.render(
-                message_id,
-                [(sub_key, item.payload) for sub_key, item in entries],
-            )
-        timer = phases.begin()
+        timer = None if phases is None else phases.begin()
         text = compiled.render(
             message_id,
+            topic,
             [(sub_key, item.payload) for sub_key, item in entries],
         )
-        phases.end("serialize", timer)
+        if phases is not None:
+            phases.end("serialize", timer)
         return text
 
     def _references_match(self, sub_key: str, item: NotificationMessage) -> bool:

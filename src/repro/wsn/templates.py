@@ -19,20 +19,26 @@ bytes — and therefore the compiled templates — are identical with and
 without instrumentation, and both modes share one cache entry per shape.
 
 The ``messages`` slot is filled by a second, nested template compiled from a
-single ``NotificationMessage`` chunk, with two slots of its own: ``sub_id``
-(the ``wsrf:ResourceID`` text inside the SubscriptionReference) and
-``payload`` (the frozen payload's spliced text under the envelope's exact
-prefix assignment).  Rendering *n* chunks into the slot is what lets delivery
-batching coalesce *n* notifications to one sink into one wire request while
-staying byte-identical to :func:`repro.wsn.messages.build_notify` output.
+single ``NotificationMessage`` chunk, with three slots of its own, in
+document order: ``sub_id`` (the ``wsrf:ResourceID`` text inside the
+SubscriptionReference), ``topic`` (the ``wsnt:Topic`` text, when the message
+has a topic) and ``payload`` (the frozen payload's spliced text under the
+envelope's exact prefix assignment).  Rendering *n* chunks into the slot is
+what lets delivery batching coalesce *n* notifications to one sink into one
+wire request while staying byte-identical to
+:func:`repro.wsn.messages.build_notify` output.
 
 Cache key and eviction: the sink half of the key is a structural signature
 of the consumer EPR (recomputed per send, so an EPR change can never reuse a
-stale entry), the shape half is ``(topic, dialect, payload namespace
-order)``.  Entries are LRU-capped, dropped when the last subscription
-referencing their sink goes away (unsubscribe, lease-expiry sweep, delivery
-failure), and wiped wholesale by :meth:`NotifyTemplateCache.clear` on
-recovery replay.
+stale entry), the shape half is ``(topic is None, dialect, payload namespace
+order)``.  The topic itself is a slot, not part of the key: it is escaped
+text that declares no namespace and moves no prefix, so it cannot change the
+envelope's structure; only its absence does (a topic-less message has no
+``Topic`` element).  The working set is therefore sinks x dialects x payload
+shapes, however many topics are published.  Entries are LRU-capped, dropped
+when the last subscription referencing their sink goes away (unsubscribe,
+lease-expiry sweep, delivery failure), and wiped wholesale by
+:meth:`NotifyTemplateCache.clear` on recovery replay.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ from repro.xmlkit.writer import (
 #: one is caught by the exactly-once check and falls back to the tree path
 MESSAGE_ID_SENTINEL = "urn:x-repro-template-slot:message-id"
 SUB_ID_SENTINEL = "urn:x-repro-template-slot:subscription-id"
+TOPIC_SENTINEL = "urn:x-repro-template-slot:topic"
 
 
 def _fold(elem: XElem):
@@ -110,15 +117,20 @@ class CompiledNotify:
     def render(
         self,
         message_id: str,
+        topic: Optional[str],
         entries: list[tuple[str, XElem]],
     ) -> str:
-        """Render the full envelope for ``entries`` = [(sub_key, payload)...]."""
+        """Render the full envelope for ``entries`` = [(sub_key, payload)...],
+        every message carrying ``topic`` (``None``: the template has no topic
+        slot, as compiled)."""
         chunk = self.chunk
         mapping = self.payload_mapping
+        topic_text = None if topic is None else _escape_text(topic)
         chunks = [
             chunk.render(
                 {
                     "sub_id": _escape_text(sub_key),
+                    "topic": topic_text,
                     "payload": frozen_splice_text(payload, mapping),
                 }
             )
@@ -174,7 +186,8 @@ class NotifyTemplateCache:
             TEMPLATE_STATS.fallbacks += 1
             return None, "fallback"
         sig = sink_signature(consumer)
-        key = (sig, topic, topic_dialect, frozen_namespace_order(payload))
+        topicless = topic is None
+        key = (sig, topicless, topic_dialect, frozen_namespace_order(payload))
         self._note_refs(sig, key, sub_keys)
         compiled = self._templates.get(key)
         if compiled is not None:
@@ -185,7 +198,7 @@ class NotifyTemplateCache:
             TEMPLATE_STATS.fallbacks += 1
             return None, "fallback"
         try:
-            compiled = self._compile(consumer, topic, topic_dialect, payload)
+            compiled = self._compile(consumer, topicless, topic_dialect, payload)
         except TemplateSlotError:
             self._rejected.add(key)
             if len(self._rejected) > self.capacity:
@@ -202,7 +215,7 @@ class NotifyTemplateCache:
     def _compile(
         self,
         consumer: EndpointReference,
-        topic: Optional[str],
+        topicless: bool,
         topic_dialect: str,
         payload: XElem,
     ) -> CompiledNotify:
@@ -225,7 +238,7 @@ class NotifyTemplateCache:
         )
         item = NotificationMessage(
             payload,
-            topic=topic,
+            topic=None if topicless else TOPIC_SENTINEL,
             topic_dialect=topic_dialect,
             subscription_reference=sub_reference,
             producer_reference=EndpointReference(self.producer_address),
@@ -239,10 +252,11 @@ class NotifyTemplateCache:
         payload_text = frozen_splice_text(payload, payload_mapping)
         chunk_elem = next(body.elements())
         chunk_text = serialize_subtree(chunk_elem, allocator)
-        chunk = ByteTemplate.compile(
-            chunk_text,
-            [("sub_id", SUB_ID_SENTINEL), ("payload", payload_text)],
-        )
+        slots = [("sub_id", SUB_ID_SENTINEL)]
+        if not topicless:
+            slots.append(("topic", TOPIC_SENTINEL))
+        slots.append(("payload", payload_text))
+        chunk = ByteTemplate.compile(chunk_text, slots)
         outer = ByteTemplate.compile(
             text,
             [("message_id", MESSAGE_ID_SENTINEL), ("messages", chunk_text)],
